@@ -137,7 +137,7 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 	b.ReportAllocs()
 	var events int64
 	for i := 0; i < b.N; i++ {
-		_, ev := experiments.OpenMPIPingPongEvents(spec, 4, 100)
+		ev := experiments.PingPong{Size: 4, Iters: 100, Warmup: experiments.Warmup}.OpenMPI(spec).Engine.SimEvents
 		events += ev
 	}
 	b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/s")
@@ -154,7 +154,7 @@ func BenchmarkSimulatorThroughputRndv(b *testing.B) {
 	b.ReportAllocs()
 	var events int64
 	for i := 0; i < b.N; i++ {
-		_, ev := experiments.OpenMPIPingPongEvents(spec, 65536, 20)
+		ev := experiments.PingPong{Size: 65536, Iters: 20, Warmup: experiments.Warmup}.OpenMPI(spec).Engine.SimEvents
 		events += ev
 	}
 	b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/s")

@@ -18,9 +18,13 @@ import (
 	"fmt"
 	"os"
 
+	"qsmpi/internal/cluster"
 	"qsmpi/internal/experiments"
 	"qsmpi/internal/obs"
 	"qsmpi/internal/parsweep"
+	"qsmpi/internal/pml"
+	"qsmpi/internal/ptlelan4"
+	"qsmpi/internal/trace"
 )
 
 func main() {
@@ -36,6 +40,11 @@ func main() {
 	breakdown := flag.Bool("breakdown", false, "also print the phase decomposition and critical path of one representative exchange")
 	traceSize := flag.Int("tracesize", 4096, "message size for the -trace/-metrics/-breakdown representative exchange")
 	flag.Parse()
+	if *iters < 1 {
+		fmt.Fprintf(os.Stderr, "elan4bench: -iters must be at least 1, got %d\n", *iters)
+		flag.Usage()
+		os.Exit(2)
+	}
 	var st parsweep.Stats
 	cfg := experiments.DefaultConfig().WithIters(*iters)
 	cfg.Workers = *workers
@@ -98,13 +107,16 @@ func observe(traceOut string, metrics, breakdown bool, size int) {
 	if traceOut == "" && !metrics && !breakdown {
 		return
 	}
-	ob := experiments.ObservedBestRead(size, 1, 0, 0)
+	rec, reg := trace.NewRecorder(0), obs.New()
+	opts := ptlelan4.BestOptions(ptlelan4.RDMARead)
+	experiments.PingPong{Size: size, Iters: 1, Tracer: rec, Metrics: reg}.
+		OpenMPI(cluster.Spec{Elan: &opts, Progress: pml.Polling})
 	if metrics {
 		fmt.Printf("\n# representative exchange (%d B, best RDMA-read): cross-layer metrics\n", size)
-		fmt.Print(ob.Metrics.Render())
+		fmt.Print(reg.Snapshot().Render())
 	}
 	if breakdown {
-		prof := obs.Analyze(ob.Recorder.Events())
+		prof := obs.Analyze(rec.Events())
 		fmt.Printf("\n# representative exchange (%d B, best RDMA-read): phase decomposition\n", size)
 		fmt.Print(prof.RenderBreakdown())
 		fmt.Printf("\n")
@@ -116,7 +128,7 @@ func observe(traceOut string, metrics, breakdown bool, size int) {
 			fmt.Fprintf(os.Stderr, "elan4bench: %v\n", err)
 			os.Exit(1)
 		}
-		if err := obs.WritePerfettoFrom(f, ob.Recorder); err != nil {
+		if err := obs.WritePerfettoFrom(f, rec); err != nil {
 			fmt.Fprintf(os.Stderr, "elan4bench: %v\n", err)
 			os.Exit(1)
 		}
@@ -124,6 +136,6 @@ func observe(traceOut string, metrics, breakdown bool, size int) {
 			fmt.Fprintf(os.Stderr, "elan4bench: %v\n", err)
 			os.Exit(1)
 		}
-		fmt.Printf("\nwrote %d trace events to %s (load at ui.perfetto.dev)\n", ob.Recorder.Len(), traceOut)
+		fmt.Printf("\nwrote %d trace events to %s (load at ui.perfetto.dev)\n", rec.Len(), traceOut)
 	}
 }

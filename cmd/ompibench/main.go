@@ -26,6 +26,11 @@ func main() {
 	workers := flag.Int("j", 0, "parallel sweep workers (0 = one per core)")
 	stats := flag.Bool("stats", false, "print sweep-engine worker stats to stderr")
 	flag.Parse()
+	if *iters < 1 {
+		fmt.Fprintf(os.Stderr, "ompibench: -iters must be at least 1, got %d\n", *iters)
+		flag.Usage()
+		os.Exit(2)
+	}
 	var st parsweep.Stats
 	cfg := experiments.DefaultConfig().WithIters(*iters)
 	cfg.Workers = *workers

@@ -57,6 +57,11 @@ func main() {
 	metrics := flag.Bool("metrics", false, "also print cross-layer metrics of one instrumented exchange (at -size bytes)")
 	breakdown := flag.Bool("breakdown", false, "also print the phase decomposition and critical path of one instrumented exchange (at -size bytes)")
 	flag.Parse()
+	if *iters < 1 {
+		fmt.Fprintf(os.Stderr, "osu: -iters must be at least 1, got %d\n", *iters)
+		flag.Usage()
+		os.Exit(2)
+	}
 	cfg := config(*scheme, *threads)
 
 	// sweep measures every size as an independent job across the worker

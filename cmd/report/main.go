@@ -32,6 +32,11 @@ func main() {
 	waitstates := flag.Bool("waitstates", false, "append wait-state attribution tables and arrival-skew histograms (seeded scenarios rerun sequentially)")
 	shards := flag.Int("shards", 1, "worker shards per measurement cluster (conservative parallel kernel; the report body is byte-identical at any value)")
 	flag.Parse()
+	if *iters < 1 {
+		fmt.Fprintf(os.Stderr, "report: -iters must be at least 1, got %d\n", *iters)
+		flag.Usage()
+		os.Exit(2)
+	}
 	var st parsweep.Stats
 	cfg := experiments.DefaultConfig().WithIters(*iters)
 	cfg.Workers = *workers
@@ -99,10 +104,10 @@ func main() {
 		// any -j (the wait-state reruns never touch the sweep engine).
 		fmt.Println()
 		fmt.Println("## Wait-state attribution (seeded scenarios)")
-		fmt.Printf("\n```\n%s```\n", experiments.WaitStateReport(cfg.Shards))
+		fmt.Printf("\n```\n%s```\n", experiments.WaitStateReport(cfg.Shards).Text)
 		fmt.Println()
 		fmt.Println("## Sampler heatmaps (8-rank mixed workload)")
-		fmt.Printf("\n```\n%s```\n", experiments.HeatmapReport(8, 6, cfg.Shards, 72))
+		fmt.Printf("\n```\n%s```\n", experiments.HeatmapReport(8, 6, cfg.Shards, 72).Text)
 	}
 	if *stats {
 		fmt.Fprint(os.Stderr, st.String())

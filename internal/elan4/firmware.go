@@ -46,6 +46,3 @@ func (n *NIC) FirmwareRxPCI(nbytes int, extra simtime.Duration, name string, fn 
 func (n *NIC) FirmwareTxPCI(nbytes int, extra simtime.Duration, name string, fn func()) {
 	n.sc.After(simtime.BytesAt(nbytes, n.cfg.PCIBandwidth)+extra, name, fn)
 }
-
-// FirmwareInterrupt raises a host interrupt firing sig.
-func (n *NIC) FirmwareInterrupt(sig *simtime.Signal) { n.raiseInterrupt(sig) }

@@ -5,10 +5,7 @@ import (
 
 	"qsmpi/internal/cluster"
 	"qsmpi/internal/datatype"
-	"qsmpi/internal/elan4"
-	"qsmpi/internal/fabric"
 	"qsmpi/internal/libelan"
-	"qsmpi/internal/model"
 	"qsmpi/internal/mpi"
 	"qsmpi/internal/parsweep"
 	"qsmpi/internal/pml"
@@ -35,7 +32,7 @@ func AblationEagerThreshold(cfg Config) *Result {
 			name:  fmt.Sprintf("eager=%d", th),
 			sizes: sizes,
 			measure: func(n int) (float64, parsweep.Metrics) {
-				return cfg.openMPIPingPong(elanSpec(opts, false, pml.Polling), n, cfg.Iters)
+				return cfg.pingPong(elanSpec(opts, false, pml.Polling), n, cfg.Iters)
 			},
 		})
 	}
@@ -61,7 +58,7 @@ func AblationMultirail(cfg Config) *Result {
 			measure: func(n int) (float64, parsweep.Metrics) {
 				opts := ptlelan4.BestOptions(ptlelan4.RDMAWrite)
 				spec := cluster.Spec{Elan: &opts, ElanRails: rails, Progress: pml.Polling}
-				lat, m := cfg.openMPIPingPong(spec, n, cfg.itersFor(n))
+				lat, m := cfg.pingPong(spec, n, cfg.itersFor(n))
 				return toBW(n, lat), m
 			},
 		})
@@ -103,42 +100,10 @@ func AblationFatTreeScale(cfg Config) *Result {
 // farCornerLatency runs a ping-pong between node 0 and node n-1 of an
 // n-node cluster.
 func farCornerLatency(cfg Config, nodes, size int) (float64, parsweep.Metrics) {
-	opts := ptlelan4.BestOptions(ptlelan4.RDMARead)
-	spec := cluster.Spec{Elan: &opts, Nodes: nodes, Progress: pml.Polling, Shards: cfg.Shards}
-	c := cluster.New(spec, nodes)
-	var total simtime.Duration
-	iters := cfg.Iters / 2
-	if iters < 10 {
-		iters = 10
-	}
-	warmup := cfg.Warmup
-	c.Launch(func(p *cluster.Proc) {
-		far := nodes - 1
-		if p.Rank != 0 && p.Rank != far {
-			return
-		}
-		dt := datatype.Contiguous(size)
-		buf := make([]byte, size)
-		if p.Rank == 0 {
-			for i := 0; i < warmup+iters; i++ {
-				start := p.Th.Now()
-				p.Stack.Send(p.Th, far, 1, 0, buf, dt).Wait(p.Th)
-				p.Stack.Recv(p.Th, far, 2, 0, buf, dt).Wait(p.Th)
-				if i >= warmup {
-					total += p.Th.Now().Sub(start)
-				}
-			}
-		} else {
-			for i := 0; i < warmup+iters; i++ {
-				p.Stack.Recv(p.Th, 0, 1, 0, buf, dt).Wait(p.Th)
-				p.Stack.Send(p.Th, 0, 2, 0, buf, dt).Wait(p.Th)
-			}
-		}
-	})
-	if err := c.Run(); err != nil {
-		panic(err)
-	}
-	return total.Micros() / float64(iters) / 2, clusterMetrics(c)
+	spec := bestRead(cfg.Shards)
+	spec.Nodes = nodes
+	r := PingPong{Size: size, Iters: max(cfg.Iters/2, 10), Warmup: cfg.Warmup, Procs: nodes}.OpenMPI(spec)
+	return r.LatencyUS, r.Engine
 }
 
 // AblationQueueSlots measures QDMA retries as the receive-queue depth
@@ -204,9 +169,7 @@ func incastRetries(slots int) (int64, float64, parsweep.Metrics) {
 			p.Stack.Activity().WaitFor(p.Th.Proc(), v+1)
 		}
 	})
-	if err := c.Run(); err != nil {
-		panic(err)
-	}
+	mustRun(c)
 	var retries int64
 	for _, nic := range c.NICs {
 		retries += nic.Stats().Retries
@@ -241,25 +204,7 @@ func AblationHWBcast(cfg Config) *Result {
 // has consumed its copy, using libelan directly (a static, synchronized
 // group — the precondition the paper states).
 func hwBcastLatency(nodes, size int) (float64, parsweep.Metrics) {
-	cfg := model.Default()
-	k := simtime.NewKernel()
-	net := fabric.New(k, fabric.Params{
-		LinkBandwidth: cfg.LinkBandwidth, WireLatency: cfg.WireLatency,
-		SwitchLatency: cfg.SwitchLatency, MTU: cfg.MTU,
-		PacketOverhead: cfg.PacketOverhead, Arity: cfg.FatTreeRadix,
-	}, nodes)
-	res := staticResolver{}
-	var states []*libelan.State
-	var hosts []*simtime.Host
-	for i := 0; i < nodes; i++ {
-		h := simtime.NewHost(k, fmt.Sprintf("n%d", i), cfg.HostCPUs)
-		nic := elan4.NewNIC(k, h, net, i, cfg, res)
-		ctx := nic.OpenContext(0)
-		ctx.SetVPID(i)
-		res[i] = [2]int{i, 0}
-		hosts = append(hosts, h)
-		states = append(states, libelan.Attach(ctx, cfg))
-	}
+	k, hosts, states := libelanNodes(nodes)
 	queues := make([]*libelan.Queue, nodes)
 	for i := 1; i < nodes; i++ {
 		queues[i] = states[i].NewQueue(1, 8)
@@ -305,9 +250,7 @@ func swBcastLatency(nodes, size int) (float64, parsweep.Metrics) {
 			last = p.Th.Now()
 		}
 	})
-	if err := c.Run(); err != nil {
-		panic(err)
-	}
+	mustRun(c)
 	return (last - startAt).Micros(), clusterMetrics(c)
 }
 

@@ -45,12 +45,12 @@ func Claims(cfg Config) []Claim {
 	mr := newMeasurer(cfg)
 	ping := func(o ptlelan4.Options, dtp bool, mode pml.ProgressMode, n, iters int) *float64 {
 		return mr.add(func() (float64, parsweep.Metrics) {
-			return cfg.openMPIPingPong(elanSpec(o, dtp, mode), n, iters)
+			return cfg.pingPong(elanSpec(o, dtp, mode), n, iters)
 		})
 	}
 	poll := func(o ptlelan4.Options, n int) *float64 { return ping(o, false, pml.Polling, n, cfg.Iters) }
 	tport := func(n, iters int) *float64 {
-		return mr.add(func() (float64, parsweep.Metrics) { return cfg.tportPingPong(n, iters) })
+		return mr.add(func() (float64, parsweep.Metrics) { return cfg.tport(n, iters) })
 	}
 
 	read := base(ptlelan4.RDMARead)
@@ -78,15 +78,17 @@ func Claims(cfg Config) []Claim {
 	// §6.3 / Fig. 9 measurements (one layered sim yields both values;
 	// it is deterministic, so re-running it per value is exact).
 	layeredSpec := elanSpec(ptlelan4.BestOptions(ptlelan4.RDMARead), false, pml.Polling)
+	layeredSpec.Shards = cfg.Shards
+	layered := PingPong{Iters: cfg.Iters, Warmup: cfg.Warmup, LayerTrace: true}
 	tot := mr.add(func() (float64, parsweep.Metrics) {
-		t, _, m := cfg.openMPILayered(layeredSpec, 0)
-		return t, m
+		r := layered.OpenMPI(layeredSpec)
+		return r.LatencyUS, r.Engine
 	})
 	pmlc := mr.add(func() (float64, parsweep.Metrics) {
-		_, p, m := cfg.openMPILayered(layeredSpec, 0)
-		return p, m
+		r := layered.OpenMPI(layeredSpec)
+		return r.PMLCostUS, r.Engine
 	})
-	qdma64 := mr.add(func() (float64, parsweep.Metrics) { return cfg.qdmaPingPong(64, cfg.Iters) })
+	qdma64 := mr.add(func() (float64, parsweep.Metrics) { return qdmaPingPong(64, cfg.Iters, cfg.Warmup) })
 	// §6.5 / Fig. 10 measurements.
 	m0 := tport(0, cfg.Iters)
 	p0 := poll(readNI, 0)

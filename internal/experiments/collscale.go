@@ -9,7 +9,6 @@ import (
 	"qsmpi/internal/datatype"
 	"qsmpi/internal/mpi"
 	"qsmpi/internal/parsweep"
-	"qsmpi/internal/pml"
 	"qsmpi/internal/ptlelan4"
 	"qsmpi/internal/simtime"
 )
@@ -71,14 +70,9 @@ func CollPeers(rank, n int) []int {
 // tree; barrier and allreduce ride the NIC combine tree at any n.
 func (c Config) collLatency(n int, nic bool, op string) (float64, parsweep.Metrics) {
 	iters, warmup := collIters(n)
-	opts := ptlelan4.BestOptions(ptlelan4.RDMARead)
-	spec := cluster.Spec{
-		Elan:     &opts,
-		Progress: pml.Polling,
-		Shards:   c.Shards,
-		HWColl:   nic,
-		Peers:    CollPeers,
-	}
+	spec := bestRead(c.Shards)
+	spec.HWColl = nic
+	spec.Peers = CollPeers
 	cl := cluster.New(spec, n)
 	uni := mpi.NewUniverse()
 	var total simtime.Duration
@@ -110,37 +104,8 @@ func (c Config) collLatency(n int, nic bool, op string) (float64, parsweep.Metri
 			}
 		}
 	})
-	if err := cl.Run(); err != nil {
-		panic(err)
-	}
+	mustRun(cl)
 	return total.Micros() / float64(iters), clusterMetrics(cl)
-}
-
-// CollectiveEvents measures one collective configuration and also reports
-// the kernel event count — the perfbench collscale section and the CI
-// shard-identity smoke consume it.
-func CollectiveEvents(n int, nic, allreduce bool, shards int) (latUS float64, events int64) {
-	op := "barrier"
-	if allreduce {
-		op = "allreduce"
-	}
-	cfg := Config{Shards: shards}
-	lat, m := cfg.collLatency(n, nic, op)
-	return lat, m.SimEvents
-}
-
-// CollSmokeOps are the operations the nightly shard-identity smoke
-// (cmd/collsmoke, `make coll-shards`) covers.
-var CollSmokeOps = []string{"barrier", "bcast", "allreduce"}
-
-// CollSmoke runs one collective at n ranks on the offload harness
-// (restricted bringup topology, NIC trees installed) and returns the
-// mean rank-0 latency and the kernel event count. cmd/collsmoke prints
-// these for byte-diffing a sharded run against a sequential one.
-func CollSmoke(n int, op string, shards int) (latUS float64, events int64) {
-	cfg := Config{Shards: shards}
-	lat, m := cfg.collLatency(n, true, op)
-	return lat, m.SimEvents
 }
 
 // CollScaleFigures produces the collective-scaling figure family:

@@ -33,8 +33,10 @@ func DefaultConfig() Config {
 	return Config{Iters: 100, Warmup: Warmup}
 }
 
-// WithIters returns a copy of c with the iteration count replaced.
+// WithIters returns a copy of c with the iteration count replaced; it
+// panics below one timed iteration.
 func (c Config) WithIters(iters int) Config {
+	checkIters(iters)
 	c.Iters = iters
 	return c
 }

@@ -18,10 +18,12 @@ import (
 	"qsmpi/internal/libelan"
 	"qsmpi/internal/model"
 	"qsmpi/internal/mpichq"
+	"qsmpi/internal/obs"
 	"qsmpi/internal/parsweep"
 	"qsmpi/internal/pml"
 	"qsmpi/internal/ptlelan4"
 	"qsmpi/internal/simtime"
+	"qsmpi/internal/trace"
 )
 
 // Warmup iterations before timing starts (the paper uses 100 on real
@@ -124,188 +126,217 @@ func clusterMetrics(c *cluster.Cluster) parsweep.Metrics {
 	return m
 }
 
-// OpenMPIPingPong measures mean half-round-trip latency (µs) of the Open
-// MPI stack for one size under a spec.
-func OpenMPIPingPong(spec cluster.Spec, size, iters int) float64 {
-	lat, _, _ := openMPITraced(spec, size, iters, Warmup, false)
-	return lat
+// PingPong is the one two-rank ping-pong loop every latency measurement
+// runs: after Warmup untimed round trips, rank 0 times Iters round trips
+// of Size-byte messages (tag 1 out, tag 2 back) and reports the mean half
+// round trip. Observation is an input to the loop, never a copy of it:
+// Tracer and Metrics attach a cross-layer recorder and a metrics registry
+// to every layer, and LayerTrace attaches a pml.LayerTrace to each rank
+// to split off the PML-layer cost (§6.3). A recorder or registry must
+// never be shared across concurrently running simulations, so observed
+// runs stay sequential; figure sweeps run untraced.
+type PingPong struct {
+	Size   int
+	Iters  int
+	Warmup int
+	// Procs is the Open MPI cluster size; the ping-pong runs between
+	// rank 0 and rank Procs−1 while the others idle. 0 means 2.
+	Procs int
+	// Type is the Open MPI message datatype; nil means Contiguous(Size).
+	// Buffers span the datatype's extent.
+	Type       *datatype.Datatype
+	Tracer     *trace.Recorder
+	Metrics    *obs.Registry
+	LayerTrace bool
 }
 
-// OpenMPIPingPongEvents is OpenMPIPingPong plus the number of kernel
-// events the run executed, for wall-clock throughput (events/sec)
-// measurement by the benchmark harness.
-func OpenMPIPingPongEvents(spec cluster.Spec, size, iters int) (latUS float64, events int64) {
-	lat, _, m := openMPITraced(spec, size, iters, Warmup, false)
-	return lat, m.SimEvents
+// PingPongResult is one ping-pong run's outcome.
+type PingPongResult struct {
+	LatencyUS float64          // mean half round trip
+	PMLCostUS float64          // mean PML-layer cost per message (LayerTrace only)
+	ElapsedUS float64          // virtual time at quiescence, warmup included
+	Engine    parsweep.Metrics // kernel events and buffer-pool counters
 }
 
-// OpenMPILayered measures both the half-round-trip latency and the mean
-// PML-layer cost (§6.3) for one size.
-func OpenMPILayered(spec cluster.Spec, size, iters int) (total, pmlCost float64) {
-	total, pmlCost, _ = openMPITraced(spec, size, iters, Warmup, true)
-	return total, pmlCost
+// checkIters rejects an iteration count every harness would divide its
+// timed total by.
+func checkIters(iters int) {
+	if iters < 1 {
+		panic(fmt.Sprintf("experiments: iters = %d; a measurement needs at least one timed iteration", iters))
+	}
 }
 
-// openMPIPingPong is the Config-aware harness the parallel sweeps use:
-// warmup comes from the config and the engine metrics are reported.
-func (c Config) openMPIPingPong(spec cluster.Spec, size, iters int) (float64, parsweep.Metrics) {
-	spec.Shards = c.Shards
-	lat, _, m := openMPITraced(spec, size, iters, c.Warmup, false)
-	return lat, m
+// rounds runs one side of the schedule: the pinger sends then receives
+// and accumulates the timed round trips into total, the other side
+// echoes.
+func (pp PingPong) rounds(ping bool, th *simtime.Thread, total *simtime.Duration, send, recv func()) {
+	for i := 0; i < pp.Warmup+pp.Iters; i++ {
+		start := th.Now()
+		if ping {
+			send()
+			recv()
+		} else {
+			recv()
+			send()
+		}
+		if ping && i >= pp.Warmup {
+			*total += th.Now().Sub(start)
+		}
+	}
 }
 
-// openMPILayered is OpenMPILayered plus engine metrics.
-func (c Config) openMPILayered(spec cluster.Spec, size int) (total, pmlCost float64, m parsweep.Metrics) {
-	spec.Shards = c.Shards
-	return openMPITraced(spec, size, c.Iters, c.Warmup, true)
-}
-
-func openMPITraced(spec cluster.Spec, size, iters, warmup int, trace bool) (float64, float64, parsweep.Metrics) {
-	c := cluster.New(spec, 2)
+// OpenMPI runs the ping-pong over the Open MPI stack a spec describes.
+func (pp PingPong) OpenMPI(spec cluster.Spec) PingPongResult {
+	checkIters(pp.Iters)
+	dt := pp.Type
+	if dt == nil {
+		dt = datatype.Contiguous(pp.Size)
+	}
+	if pp.Tracer != nil {
+		spec.Tracer = pp.Tracer
+	}
+	if pp.Metrics != nil {
+		spec.Metrics = pp.Metrics
+	}
+	far := max(pp.Procs, 2) - 1
+	c := cluster.New(spec, far+1)
 	var total simtime.Duration
 	var traces []*pml.LayerTrace
 	c.Launch(func(p *cluster.Proc) {
-		if trace {
+		if p.Rank != 0 && p.Rank != far {
+			return
+		}
+		if pp.LayerTrace {
 			p.Stack.Trace = &pml.LayerTrace{}
 			traces = append(traces, p.Stack.Trace)
 		}
-		dt := datatype.Contiguous(size)
-		buf := make([]byte, size)
-		scratch := make([]byte, size)
-		if p.Rank == 0 {
-			for i := 0; i < warmup+iters; i++ {
-				start := p.Th.Now()
-				p.Stack.Send(p.Th, 1, 1, 0, buf, dt).Wait(p.Th)
-				p.Stack.Recv(p.Th, 1, 2, 0, scratch, dt).Wait(p.Th)
-				if i >= warmup {
-					total += p.Th.Now().Sub(start)
-				}
-			}
-		} else {
-			for i := 0; i < warmup+iters; i++ {
-				p.Stack.Recv(p.Th, 0, 1, 0, scratch, dt).Wait(p.Th)
-				p.Stack.Send(p.Th, 0, 2, 0, buf, dt).Wait(p.Th)
-			}
+		buf := make([]byte, dt.Extent())
+		scratch := make([]byte, dt.Extent())
+		peer, tag := far, 1 // rank 0 sends on tag 1 and hears back on tag 2
+		if p.Rank == far {
+			peer, tag = 0, 2
 		}
+		pp.rounds(p.Rank == 0, p.Th, &total,
+			func() { p.Stack.Send(p.Th, peer, tag, 0, buf, dt).Wait(p.Th) },
+			func() { p.Stack.Recv(p.Th, peer, 3-tag, 0, scratch, dt).Wait(p.Th) })
 	})
-	if err := c.Run(); err != nil {
-		panic(fmt.Sprintf("experiments: %v", err))
+	mustRun(c)
+	res := PingPongResult{
+		LatencyUS: total.Micros() / float64(pp.Iters) / 2,
+		ElapsedUS: c.Now().Micros(),
+		Engine:    clusterMetrics(c),
 	}
-	lat := total.Micros() / float64(iters) / 2
-	if !trace {
-		return lat, 0, clusterMetrics(c)
-	}
-	var pmlSum float64
 	var n int
 	for _, tr := range traces {
 		if tr.Count > 0 {
-			pmlSum += tr.Mean()
+			res.PMLCostUS += tr.Mean()
 			n++
 		}
 	}
 	if n > 0 {
-		pmlSum /= float64(n)
+		res.PMLCostUS /= float64(n)
 	}
-	return lat, pmlSum, clusterMetrics(c)
+	return res
 }
 
-// TportPingPong measures mean half-round-trip latency (µs) of the
-// MPICH-QsNetII baseline.
-func TportPingPong(size, iters int) float64 {
-	lat, _ := tportPingPong(size, iters, Warmup)
-	return lat
-}
-
-// tportPingPong is the Config-aware MPICH-QsNetII harness.
-func (c Config) tportPingPong(size, iters int) (float64, parsweep.Metrics) {
-	return tportPingPong(size, iters, c.Warmup)
-}
-
-func tportPingPong(size, iters, warmup int) (float64, parsweep.Metrics) {
+// Tport runs the ping-pong over the MPICH-QsNetII baseline stack; Type
+// and LayerTrace do not apply to it.
+func (pp PingPong) Tport() PingPongResult {
+	checkIters(pp.Iters)
 	j := mpichq.NewJob(2, nil)
+	if pp.Tracer != nil {
+		j.SetTracer(pp.Tracer)
+	}
+	if pp.Metrics != nil {
+		j.RegisterMetrics(pp.Metrics)
+	}
 	var total simtime.Duration
 	j.Launch(func(rank int, th *simtime.Thread, c *mpichq.Comm) {
-		buf := make([]byte, size)
-		scratch := make([]byte, size)
-		if rank == 0 {
-			for i := 0; i < warmup+iters; i++ {
-				start := th.Now()
-				c.Send(th, 1, 1, buf)
-				c.Recv(th, 1, 2, scratch)
-				if i >= warmup {
-					total += th.Now().Sub(start)
-				}
-			}
-		} else {
-			for i := 0; i < warmup+iters; i++ {
-				c.Recv(th, 0, 1, scratch)
-				c.Send(th, 0, 2, buf)
-			}
-		}
+		buf := make([]byte, pp.Size)
+		scratch := make([]byte, pp.Size)
+		peer := 1 - rank
+		pp.rounds(rank == 0, th, &total,
+			func() { c.Send(th, peer, 1+rank, buf) },
+			func() { c.Recv(th, peer, 2-rank, scratch) })
 	})
 	if err := j.Run(); err != nil {
 		panic(fmt.Sprintf("experiments: %v", err))
 	}
-	return total.Micros() / float64(iters) / 2, parsweep.Metrics{SimEvents: j.K.Steps()}
+	return PingPongResult{
+		LatencyUS: total.Micros() / float64(pp.Iters) / 2,
+		ElapsedUS: j.K.Now().Micros(),
+		Engine:    parsweep.Metrics{SimEvents: j.K.Steps()},
+	}
 }
 
-// QDMAPingPong measures native Quadrics QDMA half-round-trip latency (µs):
+// pingPong is the sweep-side form of PingPong.OpenMPI: untraced, with
+// the config's warmup and shard count.
+func (c Config) pingPong(spec cluster.Spec, size, iters int) (float64, parsweep.Metrics) {
+	spec.Shards = c.Shards
+	r := PingPong{Size: size, Iters: iters, Warmup: c.Warmup}.OpenMPI(spec)
+	return r.LatencyUS, r.Engine
+}
+
+// tport is the sweep-side form of PingPong.Tport.
+func (c Config) tport(size, iters int) (float64, parsweep.Metrics) {
+	r := PingPong{Size: size, Iters: iters, Warmup: c.Warmup}.Tport()
+	return r.LatencyUS, r.Engine
+}
+
+// mustRun runs a cluster to quiescence; a deadlock is a harness bug.
+func mustRun(c *cluster.Cluster) {
+	if err := c.Run(); err != nil {
+		panic(fmt.Sprintf("experiments: %v", err))
+	}
+}
+
+// qdmaPingPong measures native Quadrics QDMA half-round-trip latency (µs):
 // the Fig. 9 baseline the PTL is compared against.
-func QDMAPingPong(size, iters int) float64 {
-	lat, _ := qdmaPingPong(size, iters, Warmup)
-	return lat
-}
-
-// qdmaPingPong is the Config-aware native-QDMA harness.
-func (c Config) qdmaPingPong(size, iters int) (float64, parsweep.Metrics) {
-	return qdmaPingPong(size, iters, c.Warmup)
-}
-
 func qdmaPingPong(size, iters, warmup int) (float64, parsweep.Metrics) {
-	cfg := model.Default()
-	if size > cfg.QDMAMaxPayload {
+	checkIters(iters)
+	if size > model.Default().QDMAMaxPayload {
 		panic("experiments: QDMA size above hardware limit")
 	}
+	k, hosts, states := libelanNodes(2)
+	pp := PingPong{Size: size, Iters: iters, Warmup: warmup}
+	payload := make([]byte, size)
+	var total simtime.Duration
+	for i, name := range []string{"ping", "pong"} {
+		q := states[i].NewQueue(1, 64)
+		hosts[i].Spawn(name, func(th *simtime.Thread) {
+			pp.rounds(i == 0, th, &total,
+				func() { states[i].QDMA(th, 1-i, 1, payload, nil, nil) },
+				func() { q.Recv(th, libelan.Poll) })
+		})
+	}
+	k.Run()
+	return total.Micros() / float64(iters) / 2, parsweep.Metrics{SimEvents: k.Steps()}
+}
+
+// libelanNodes builds n hosts on one fat tree, each with an Elan4 NIC
+// whose context 0 holds VPID i, attached to libelan: the raw substrate
+// the native-QDMA and hardware-broadcast baselines run on, below any
+// MPI stack.
+func libelanNodes(n int) (*simtime.Kernel, []*simtime.Host, []*libelan.State) {
+	cfg := model.Default()
 	k := simtime.NewKernel()
 	net := fabric.New(k, fabric.Params{
 		LinkBandwidth: cfg.LinkBandwidth, WireLatency: cfg.WireLatency,
 		SwitchLatency: cfg.SwitchLatency, MTU: cfg.MTU,
 		PacketOverhead: cfg.PacketOverhead, Arity: cfg.FatTreeRadix,
-	}, 2)
-	res := map[int][2]int{0: {0, 0}, 1: {1, 0}}
-	resolver := staticResolver(res)
-	var states []*libelan.State
+	}, n)
+	res := staticResolver{}
 	var hosts []*simtime.Host
-	for i := 0; i < 2; i++ {
+	var states []*libelan.State
+	for i := 0; i < n; i++ {
 		h := simtime.NewHost(k, fmt.Sprintf("n%d", i), cfg.HostCPUs)
-		nic := elan4.NewNIC(k, h, net, i, cfg, resolver)
-		ctx := nic.OpenContext(0)
+		ctx := elan4.NewNIC(k, h, net, i, cfg, res).OpenContext(0)
 		ctx.SetVPID(i)
+		res[i] = [2]int{i, 0}
 		hosts = append(hosts, h)
 		states = append(states, libelan.Attach(ctx, cfg))
 	}
-	q0 := states[0].NewQueue(1, 64)
-	q1 := states[1].NewQueue(1, 64)
-	payload := make([]byte, size)
-	var total simtime.Duration
-	hosts[0].Spawn("ping", func(th *simtime.Thread) {
-		for i := 0; i < warmup+iters; i++ {
-			start := th.Now()
-			states[0].QDMA(th, 1, 1, payload, nil, nil)
-			q0.Recv(th, libelan.Poll)
-			if i >= warmup {
-				total += th.Now().Sub(start)
-			}
-		}
-	})
-	hosts[1].Spawn("pong", func(th *simtime.Thread) {
-		for i := 0; i < warmup+iters; i++ {
-			q1.Recv(th, libelan.Poll)
-			states[1].QDMA(th, 0, 1, payload, nil, nil)
-		}
-	})
-	k.Run()
-	return total.Micros() / float64(iters) / 2, parsweep.Metrics{SimEvents: k.Steps()}
+	return k, hosts, states
 }
 
 type staticResolver map[int][2]int
@@ -319,6 +350,13 @@ func (r staticResolver) Resolve(v int) (int, int, bool) {
 
 func elanSpec(opts ptlelan4.Options, dtp bool, progress pml.ProgressMode) cluster.Spec {
 	return cluster.Spec{Elan: &opts, DTP: dtp, Progress: progress}
+}
+
+// bestRead is the spec most scenarios share: the paper's best RDMA-read
+// options under polling progress.
+func bestRead(shards int) cluster.Spec {
+	opts := ptlelan4.BestOptions(ptlelan4.RDMARead)
+	return cluster.Spec{Elan: &opts, Progress: pml.Polling, Shards: shards}
 }
 
 // base returns the Fig. 7 baseline for a scheme: inlined rendezvous data,

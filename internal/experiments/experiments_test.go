@@ -1,11 +1,9 @@
 package experiments
 
 import (
+	"fmt"
 	"strings"
 	"testing"
-
-	"qsmpi/internal/pml"
-	"qsmpi/internal/ptlelan4"
 )
 
 // These tests turn the paper's qualitative claims — the ones EXPERIMENTS.md
@@ -166,7 +164,7 @@ func TestQDMAHarnessRejectsOversize(t *testing.T) {
 			t.Fatal("oversize QDMA size accepted")
 		}
 	}()
-	QDMAPingPong(4096, 1)
+	qdmaPingPong(4096, 1, Warmup)
 }
 
 func TestAllPaperClaimsPass(t *testing.T) {
@@ -178,10 +176,31 @@ func TestAllPaperClaimsPass(t *testing.T) {
 }
 
 func TestDeterministicMeasurements(t *testing.T) {
-	spec := elanSpec(ptlelan4.BestOptions(ptlelan4.RDMARead), false, pml.Polling)
-	a := OpenMPIPingPong(spec, 1024, 20)
-	b := OpenMPIPingPong(spec, 1024, 20)
+	pp := PingPong{Size: 1024, Iters: 20, Warmup: Warmup}
+	a := pp.OpenMPI(bestRead(1))
+	b := pp.OpenMPI(bestRead(1))
 	if a != b {
-		t.Fatalf("measurement not reproducible: %.6f vs %.6f", a, b)
+		t.Fatalf("measurement not reproducible: %+v vs %+v", a, b)
+	}
+}
+
+// TestItersBelowOneRejected: a measurement divides its timed total by
+// the iteration count, so zero iterations must fail loudly and name the
+// cause instead of reporting NaN latencies.
+func TestItersBelowOneRejected(t *testing.T) {
+	for name, run := range map[string]func(){
+		"openmpi": func() { PingPong{Size: 4}.OpenMPI(bestRead(1)) },
+		"tport":   func() { PingPong{Size: 4}.Tport() },
+		"config":  func() { DefaultConfig().WithIters(0) },
+		"overlap": func() { Config{Warmup: 1}.overlapRatio("basic", 0, false, 4096) },
+	} {
+		func() {
+			defer func() {
+				if msg := fmt.Sprint(recover()); !strings.Contains(msg, "iters = 0") {
+					t.Errorf("%s: iters 0 gave %q, want a panic naming iters", name, msg)
+				}
+			}()
+			run()
+		}()
 	}
 }

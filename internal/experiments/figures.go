@@ -28,7 +28,7 @@ var (
 func Fig7(cfg Config, sizes []int, panel string) *Result {
 	mk := func(opts ptlelan4.Options, dtp bool) pointFn {
 		return func(n int) (float64, parsweep.Metrics) {
-			return cfg.openMPIPingPong(elanSpec(opts, dtp, pml.Polling), n, cfg.Iters)
+			return cfg.pingPong(elanSpec(opts, dtp, pml.Polling), n, cfg.Iters)
 		}
 	}
 	read := base(ptlelan4.RDMARead)
@@ -56,7 +56,7 @@ func Fig7(cfg Config, sizes []int, panel string) *Result {
 func Fig8(cfg Config, sizes []int) *Result {
 	mk := func(opts ptlelan4.Options) pointFn {
 		return func(n int) (float64, parsweep.Metrics) {
-			return cfg.openMPIPingPong(elanSpec(opts, false, pml.Polling), n, cfg.Iters)
+			return cfg.pingPong(elanSpec(opts, false, pml.Polling), n, cfg.Iters)
 		}
 	}
 	chained := ptlelan4.BestOptions(ptlelan4.RDMARead)
@@ -86,15 +86,16 @@ func Fig8(cfg Config, sizes []int) *Result {
 // curves from one simulation, so each size is one job returning both.
 func Fig9(cfg Config, sizes []int) *Result {
 	spec := elanSpec(ptlelan4.BestOptions(ptlelan4.RDMARead), false, pml.Polling)
+	spec.Shards = cfg.Shards
 	qdma := cfg.sweep([]seriesSpec{
 		{"QDMA latency", sizes, func(n int) (float64, parsweep.Metrics) {
-			return cfg.qdmaPingPong(n, cfg.Iters)
+			return qdmaPingPong(n, cfg.Iters, cfg.Warmup)
 		}},
 	})[0]
 	layered, st := parsweep.Run(cfg.Workers, len(sizes), func(ctx *parsweep.Ctx, i int) [2]float64 {
-		total, pmlc, m := cfg.openMPILayered(spec, sizes[i])
-		ctx.Report(m)
-		return [2]float64{total, pmlc}
+		r := PingPong{Size: sizes[i], Iters: cfg.Iters, Warmup: cfg.Warmup, LayerTrace: true}.OpenMPI(spec)
+		ctx.Report(r.Engine)
+		return [2]float64{r.LatencyUS, r.PMLCostUS}
 	})
 	if cfg.Stats != nil {
 		cfg.Stats.Merge(st)
@@ -120,24 +121,24 @@ func Fig9(cfg Config, sizes []int) *Result {
 // 4 KB over the RDMA-read scheme.
 func Table1(cfg Config) *Result {
 	basic := func(n int) (float64, parsweep.Metrics) {
-		return cfg.openMPIPingPong(elanSpec(ptlelan4.BestOptions(ptlelan4.RDMARead), false, pml.Polling), n, cfg.Iters)
+		return cfg.pingPong(elanSpec(ptlelan4.BestOptions(ptlelan4.RDMARead), false, pml.Polling), n, cfg.Iters)
 	}
 	interrupt := func(n int) (float64, parsweep.Metrics) {
 		o := ptlelan4.BestOptions(ptlelan4.RDMARead)
 		o.CQ = ptlelan4.OneQueue
-		return cfg.openMPIPingPong(elanSpec(o, false, pml.InterruptWait), n, cfg.Iters)
+		return cfg.pingPong(elanSpec(o, false, pml.InterruptWait), n, cfg.Iters)
 	}
 	oneThread := func(n int) (float64, parsweep.Metrics) {
 		o := ptlelan4.BestOptions(ptlelan4.RDMARead)
 		o.CQ = ptlelan4.OneQueue
 		o.Threads = 1
-		return cfg.openMPIPingPong(elanSpec(o, false, pml.Threaded), n, cfg.Iters)
+		return cfg.pingPong(elanSpec(o, false, pml.Threaded), n, cfg.Iters)
 	}
 	twoThreads := func(n int) (float64, parsweep.Metrics) {
 		o := ptlelan4.BestOptions(ptlelan4.RDMARead)
 		o.CQ = ptlelan4.TwoQueue
 		o.Threads = 2
-		return cfg.openMPIPingPong(elanSpec(o, false, pml.Threaded), n, cfg.Iters)
+		return cfg.pingPong(elanSpec(o, false, pml.Threaded), n, cfg.Iters)
 	}
 	sizes := []int{4, 4096}
 	return &Result{
@@ -160,7 +161,7 @@ func Table1(cfg Config) *Result {
 // shared completion queue, rendezvous without inlined data.
 func Fig10(cfg Config, sizes []int, panel string, bandwidth bool) *Result {
 	mpich := func(n int) (float64, parsweep.Metrics) {
-		l, m := cfg.tportPingPong(n, cfg.itersFor(n))
+		l, m := cfg.tport(n, cfg.itersFor(n))
 		if bandwidth {
 			return toBW(n, l), m
 		}
@@ -168,7 +169,7 @@ func Fig10(cfg Config, sizes []int, panel string, bandwidth bool) *Result {
 	}
 	openmpi := func(scheme ptlelan4.Scheme) pointFn {
 		return func(n int) (float64, parsweep.Metrics) {
-			l, m := cfg.openMPIPingPong(elanSpec(ptlelan4.BestOptions(scheme), false, pml.Polling), n, cfg.itersFor(n))
+			l, m := cfg.pingPong(elanSpec(ptlelan4.BestOptions(scheme), false, pml.Polling), n, cfg.itersFor(n))
 			if bandwidth {
 				return toBW(n, l), m
 			}

@@ -1,121 +1,12 @@
 package experiments
 
 import (
-	"fmt"
-
 	"qsmpi/internal/cluster"
-	"qsmpi/internal/datatype"
-	"qsmpi/internal/mpichq"
 	"qsmpi/internal/obs"
 	"qsmpi/internal/pml"
 	"qsmpi/internal/ptlelan4"
-	"qsmpi/internal/simtime"
 	"qsmpi/internal/trace"
 )
-
-// Observed is one fully instrumented run: the half-round-trip latency,
-// the cross-layer event stream and the metrics snapshot at quiescence.
-type Observed struct {
-	LatencyUS float64
-	Recorder  *trace.Recorder
-	Metrics   obs.Snapshot
-}
-
-// ObservedPingPong runs one instrumented sequential ping-pong of the Open
-// MPI stack: a cluster-wide tracer and a metrics registry are attached via
-// the Spec, so every layer (PML, PTL, libelan/elan4, fabric) records.
-//
-// A recorder must never be shared across parsweep workers, so this harness
-// is strictly sequential: figure sweeps run untraced, and callers wanting
-// observability for a figure rerun one representative point through here.
-func ObservedPingPong(spec cluster.Spec, size, iters, warmup, limit int) Observed {
-	if iters < 1 {
-		iters = 1
-	}
-	rec := trace.NewRecorder(limit)
-	reg := obs.New()
-	spec.Tracer = rec
-	spec.Metrics = reg
-	c := cluster.New(spec, 2)
-	var total simtime.Duration
-	c.Launch(func(p *cluster.Proc) {
-		dt := datatype.Contiguous(size)
-		buf := make([]byte, size)
-		scratch := make([]byte, size)
-		if p.Rank == 0 {
-			for i := 0; i < warmup+iters; i++ {
-				start := p.Th.Now()
-				p.Stack.Send(p.Th, 1, 1, 0, buf, dt).Wait(p.Th)
-				p.Stack.Recv(p.Th, 1, 2, 0, scratch, dt).Wait(p.Th)
-				if i >= warmup {
-					total += p.Th.Now().Sub(start)
-				}
-			}
-		} else {
-			for i := 0; i < warmup+iters; i++ {
-				p.Stack.Recv(p.Th, 0, 1, 0, scratch, dt).Wait(p.Th)
-				p.Stack.Send(p.Th, 0, 2, 0, buf, dt).Wait(p.Th)
-			}
-		}
-	})
-	if err := c.Run(); err != nil {
-		panic(fmt.Sprintf("experiments: %v", err))
-	}
-	return Observed{
-		LatencyUS: total.Micros() / float64(iters) / 2,
-		Recorder:  rec,
-		Metrics:   reg.Snapshot(),
-	}
-}
-
-// ObservedBestRead is ObservedPingPong over the paper's best RDMA-read
-// configuration — the representative run the benchmark tools instrument
-// when asked for a trace or a metrics table alongside their sweeps.
-func ObservedBestRead(size, iters, warmup, limit int) Observed {
-	return ObservedPingPong(
-		elanSpec(ptlelan4.BestOptions(ptlelan4.RDMARead), false, pml.Polling),
-		size, iters, warmup, limit)
-}
-
-// observedTport is ObservedPingPong for the MPICH-QsNetII baseline stack.
-func observedTport(size, iters, warmup, limit int) Observed {
-	if iters < 1 {
-		iters = 1
-	}
-	j := mpichq.NewJob(2, nil)
-	rec := trace.NewRecorder(limit)
-	j.SetTracer(rec)
-	reg := obs.New()
-	j.RegisterMetrics(reg)
-	var total simtime.Duration
-	j.Launch(func(rank int, th *simtime.Thread, c *mpichq.Comm) {
-		buf := make([]byte, size)
-		scratch := make([]byte, size)
-		if rank == 0 {
-			for i := 0; i < warmup+iters; i++ {
-				start := th.Now()
-				c.Send(th, 1, 1, buf)
-				c.Recv(th, 1, 2, scratch)
-				if i >= warmup {
-					total += th.Now().Sub(start)
-				}
-			}
-		} else {
-			for i := 0; i < warmup+iters; i++ {
-				c.Recv(th, 0, 1, scratch)
-				c.Send(th, 0, 2, buf)
-			}
-		}
-	})
-	if err := j.Run(); err != nil {
-		panic(fmt.Sprintf("experiments: %v", err))
-	}
-	return Observed{
-		LatencyUS: total.Micros() / float64(iters) / 2,
-		Recorder:  rec,
-		Metrics:   reg.Snapshot(),
-	}
-}
 
 // FigureMetric is the metrics table of one representative instrumented
 // point of a figure: the sweep itself runs untraced (figure numbers stay
@@ -132,39 +23,61 @@ type FigureMetric struct {
 // counts), which a handful of iterations already exhibits.
 const figureMetricIters = 4
 
-// FigureMetrics reruns one representative point per figure with a metrics
-// registry attached and returns the snapshots in paper order. Sequential
-// by design — see ObservedPingPong.
-func FigureMetrics(cfg Config) []FigureMetric {
-	iters, warmup := figureMetricIters, 2
-	pp := func(spec cluster.Spec, size int) obs.Snapshot {
-		return ObservedPingPong(spec, size, iters, warmup, 1).Metrics
+// figurePoint is one figure's representative point: a ping-pong rerun
+// sequentially with a recorder and a metrics registry attached.
+type figurePoint struct {
+	id, note string
+	spec     *cluster.Spec // nil: the MPICH-QsNetII baseline
+	size     int
+}
+
+// figurePoints lists the representative points in paper order.
+func figurePoints() []figurePoint {
+	spec := func(o ptlelan4.Options, progress pml.ProgressMode) *cluster.Spec {
+		s := elanSpec(o, false, progress)
+		return &s
 	}
-	read := base(ptlelan4.RDMARead)
-	write := base(ptlelan4.RDMAWrite)
-	noChain := ptlelan4.BestOptions(ptlelan4.RDMARead)
+	best := ptlelan4.BestOptions(ptlelan4.RDMARead)
+	noChain := best
 	noChain.ChainFin = false
-	oneThread := ptlelan4.BestOptions(ptlelan4.RDMARead)
+	oneThread := best
 	oneThread.CQ = ptlelan4.OneQueue
 	oneThread.Threads = 1
-	return []FigureMetric{
-		{"fig7a", "RDMA-Read, 256 B (eager path)",
-			pp(elanSpec(read, false, pml.Polling), 256)},
-		{"fig7b", "RDMA-Write, 4 KiB (rendezvous)",
-			pp(elanSpec(write, false, pml.Polling), 4096)},
-		{"fig8", "Read-NoChain, 4 KiB",
-			pp(elanSpec(noChain, false, pml.Polling), 4096)},
-		{"fig9", "RDMA-Read best options, 1984 B (eager limit)",
-			pp(elanSpec(ptlelan4.BestOptions(ptlelan4.RDMARead), false, pml.Polling), 1984)},
-		{"table1", "One progress thread, 4 KiB",
-			pp(elanSpec(oneThread, false, pml.Threaded), 4096)},
-		{"fig10", "MPICH-QsNetII baseline, 4 KiB",
-			observedTport(4096, iters, warmup, 1).Metrics},
-		{"fig10", "PTL/Elan4-RDMA-Read, 64 KiB",
-			pp(elanSpec(ptlelan4.BestOptions(ptlelan4.RDMARead), false, pml.Polling), 65536)},
-		{"overlap", "Two progress threads, NBC workload, 16 KiB",
-			ObservedOverlap("two-threads", 16384, iters, warmup, 1).Metrics},
+	return []figurePoint{
+		{"fig7a", "RDMA-Read, 256 B (eager path)", spec(base(ptlelan4.RDMARead), pml.Polling), 256},
+		{"fig7b", "RDMA-Write, 4 KiB (rendezvous)", spec(base(ptlelan4.RDMAWrite), pml.Polling), 4096},
+		{"fig8", "Read-NoChain, 4 KiB", spec(noChain, pml.Polling), 4096},
+		{"fig9", "RDMA-Read best options, 1984 B (eager limit)", spec(best, pml.Polling), 1984},
+		{"table1", "One progress thread, 4 KiB", spec(oneThread, pml.Threaded), 4096},
+		{"fig10", "MPICH-QsNetII baseline, 4 KiB", nil, 4096},
+		{"fig10", "PTL/Elan4-RDMA-Read, 64 KiB", spec(best, pml.Polling), 65536},
 	}
+}
+
+// observe reruns the point with a recorder (ring bound limit; 0 keeps
+// every event) and a metrics registry attached.
+func (pt figurePoint) observe(limit int) (*trace.Recorder, obs.Snapshot) {
+	rec, reg := trace.NewRecorder(limit), obs.New()
+	pp := PingPong{Size: pt.size, Iters: figureMetricIters, Warmup: 2, Tracer: rec, Metrics: reg}
+	if pt.spec == nil {
+		pp.Tport()
+	} else {
+		pp.OpenMPI(*pt.spec)
+	}
+	return rec, reg.Snapshot()
+}
+
+// FigureMetrics reruns one representative point per figure with a metrics
+// registry attached and returns the snapshots in paper order. Sequential
+// by design — see PingPong.
+func FigureMetrics(cfg Config) []FigureMetric {
+	var out []FigureMetric
+	for _, pt := range figurePoints() {
+		_, snap := pt.observe(1)
+		out = append(out, FigureMetric{pt.id, pt.note, snap})
+	}
+	_, snap := observedOverlap("two-threads", 16384, figureMetricIters, 2, 1)
+	return append(out, FigureMetric{"overlap", "Two progress threads, NBC workload, 16 KiB", snap})
 }
 
 // FigureBreakdown is the critical-path phase decomposition of one
@@ -182,31 +95,10 @@ type FigureBreakdown struct {
 // design and fully deterministic — the rendered tables are byte-identical
 // across runs.
 func FigureBreakdowns(cfg Config) []FigureBreakdown {
-	iters, warmup := figureMetricIters, 2
-	pp := func(spec cluster.Spec, size int) obs.Profile {
-		return obs.Analyze(ObservedPingPong(spec, size, iters, warmup, 0).Recorder.Events())
+	var out []FigureBreakdown
+	for _, pt := range figurePoints() {
+		rec, _ := pt.observe(0)
+		out = append(out, FigureBreakdown{pt.id, pt.note, obs.Analyze(rec.Events())})
 	}
-	read := base(ptlelan4.RDMARead)
-	write := base(ptlelan4.RDMAWrite)
-	noChain := ptlelan4.BestOptions(ptlelan4.RDMARead)
-	noChain.ChainFin = false
-	oneThread := ptlelan4.BestOptions(ptlelan4.RDMARead)
-	oneThread.CQ = ptlelan4.OneQueue
-	oneThread.Threads = 1
-	return []FigureBreakdown{
-		{"fig7a", "RDMA-Read, 256 B (eager path)",
-			pp(elanSpec(read, false, pml.Polling), 256)},
-		{"fig7b", "RDMA-Write, 4 KiB (rendezvous)",
-			pp(elanSpec(write, false, pml.Polling), 4096)},
-		{"fig8", "Read-NoChain, 4 KiB",
-			pp(elanSpec(noChain, false, pml.Polling), 4096)},
-		{"fig9", "RDMA-Read best options, 1984 B (eager limit)",
-			pp(elanSpec(ptlelan4.BestOptions(ptlelan4.RDMARead), false, pml.Polling), 1984)},
-		{"table1", "One progress thread, 4 KiB",
-			pp(elanSpec(oneThread, false, pml.Threaded), 4096)},
-		{"fig10", "MPICH-QsNetII baseline, 4 KiB",
-			obs.Analyze(observedTport(4096, iters, warmup, 0).Recorder.Events())},
-		{"fig10", "PTL/Elan4-RDMA-Read, 64 KiB",
-			pp(elanSpec(ptlelan4.BestOptions(ptlelan4.RDMARead), false, pml.Polling), 65536)},
-	}
+	return out
 }

@@ -33,11 +33,11 @@ import (
 // the progress-availability figure — it exposes whether anything
 // retires an arriving rendezvous while the host computes.
 
-// OverlapModes are the progress configurations the overlap figures
+// overlapModes are the progress configurations the overlap figures
 // sweep, matching Table 1's rows: polling with per-endpoint queues,
 // interrupt-driven waits on a shared event queue, and one or two
 // asynchronous progress threads.
-var OverlapModes = []string{"basic", "interrupt", "one-thread", "two-threads"}
+var overlapModes = []string{"basic", "interrupt", "one-thread", "two-threads"}
 
 // overlapSizes are the x values of the overlap curves (0 B – 64 KB,
 // spanning the eager/rendezvous switch at the default 1984-byte limit).
@@ -79,9 +79,11 @@ func overlapSpec(mode string, eager, shards int) cluster.Spec {
 // above is returned. Rank 1 runs the identical peer loop in both
 // phases, so the two phases see the same protocol behaviour. The timed
 // region covers only post…Wait; the per-iteration control exchange that
-// keeps the ranks in lockstep sits outside it.
-func (c Config) overlapRatio(mode string, eager int, recvSide bool, size int) (float64, parsweep.Metrics) {
+// keeps the ranks in lockstep sits outside it. The finished cluster is
+// returned alongside for its event count and elapsed virtual time.
+func (c Config) overlapRatio(mode string, eager int, recvSide bool, size int) (float64, *cluster.Cluster) {
 	iters := c.itersFor(size)
+	checkIters(iters)
 	warmup := c.Warmup
 	spec := overlapSpec(mode, eager, c.Shards)
 	cl := cluster.New(spec, 2)
@@ -143,9 +145,7 @@ func (c Config) overlapRatio(mode string, eager int, recvSide bool, size int) (f
 			}
 		}
 	})
-	if err := cl.Run(); err != nil {
-		panic(err)
-	}
+	mustRun(cl)
 	cc := base.Micros() / float64(iters)
 	o := over.Micros() / float64(iters)
 	ratio := 1.0
@@ -158,17 +158,7 @@ func (c Config) overlapRatio(mode string, eager int, recvSide bool, size int) (f
 			ratio = 1
 		}
 	}
-	return ratio, clusterMetrics(cl)
-}
-
-// OverlapPoint measures one overlap configuration and also reports the
-// kernel event count — the perfbench overlap section and the CI
-// shard-identity smoke (cmd/overlapsmoke, `make overlap-smoke`) consume
-// it. side is "send" or "recv".
-func OverlapPoint(mode, side string, size, shards int) (ratio float64, events int64) {
-	cfg := Config{Iters: 10, Warmup: 2, Shards: shards}
-	r, m := cfg.overlapRatio(mode, 0, side == "recv", size)
-	return r, m.SimEvents
+	return ratio, cl
 }
 
 // OverlapFigures produces the overlap figure family: sender-side
@@ -178,7 +168,8 @@ func OverlapFigures(cfg Config) []Result {
 	modeFig := func(id, title string, recvSide bool) Result {
 		measure := func(mode string) pointFn {
 			return func(size int) (float64, parsweep.Metrics) {
-				return cfg.overlapRatio(mode, 0, recvSide, size)
+				r, cl := cfg.overlapRatio(mode, 0, recvSide, size)
+				return r, clusterMetrics(cl)
 			}
 		}
 		return Result{
@@ -196,7 +187,8 @@ func OverlapFigures(cfg Config) []Result {
 	}
 	thresh := func(mode string, eager int) pointFn {
 		return func(size int) (float64, parsweep.Metrics) {
-			return cfg.overlapRatio(mode, eager, false, size)
+			r, cl := cfg.overlapRatio(mode, eager, false, size)
+			return r, clusterMetrics(cl)
 		}
 	}
 	return []Result{
@@ -217,16 +209,13 @@ func OverlapFigures(cfg Config) []Result {
 	}
 }
 
-// ObservedOverlap reruns one overlap configuration fully instrumented —
-// cluster-wide tracer plus metrics registry — using the nonblocking
-// collectives as the workload, so the progress-engine telemetry this PR
-// adds (pml tests/progress_us/idle_us, CQ occupancy gauges, NBC spans
-// and ProgressDuty counter samples) all appear in one representative
-// run. Strictly sequential, like ObservedPingPong.
-func ObservedOverlap(mode string, size, iters, warmup, limit int) Observed {
-	if iters < 1 {
-		iters = 1
-	}
+// observedOverlap reruns one overlap configuration fully instrumented —
+// cluster-wide tracer (ring bound limit) plus metrics registry — using
+// the nonblocking collectives as the workload, so the progress-engine
+// telemetry (pml tests/progress_us/idle_us, CQ occupancy gauges, NBC
+// spans and ProgressDuty counter samples) all appear in one
+// representative run. Strictly sequential, like an observed PingPong.
+func observedOverlap(mode string, size, iters, warmup, limit int) (*trace.Recorder, obs.Snapshot) {
 	rec := trace.NewRecorder(limit)
 	reg := obs.New()
 	spec := overlapSpec(mode, 0, 0)
@@ -234,7 +223,6 @@ func ObservedOverlap(mode string, size, iters, warmup, limit int) Observed {
 	spec.Metrics = reg
 	cl := cluster.New(spec, 2)
 	uni := mpi.NewUniverse()
-	var total simtime.Duration
 	cl.Launch(func(p *cluster.Proc) {
 		w := mpi.NewWorld(p.Th, p.Stack, uni, p.Rank, 2)
 		comm := w.Comm()
@@ -243,7 +231,6 @@ func ObservedOverlap(mode string, size, iters, warmup, limit int) Observed {
 		dt := datatype.Contiguous(size)
 		data := make([]byte, size)
 		for i := 0; i < warmup+iters; i++ {
-			start := p.Th.Now()
 			var sq, rq *mpi.Request
 			if p.Rank == 0 {
 				sq = comm.Isend(1, 3, data, dt)
@@ -260,19 +247,10 @@ func ObservedOverlap(mode string, size, iters, warmup, limit int) Observed {
 				rq.Wait()
 			}
 			comm.Ibarrier().Wait()
-			if p.Rank == 0 && i >= warmup {
-				total += p.Th.Now().Sub(start)
-			}
 		}
 	})
-	if err := cl.Run(); err != nil {
-		panic(fmt.Sprintf("experiments: %v", err))
-	}
-	return Observed{
-		LatencyUS: total.Micros() / float64(iters),
-		Recorder:  rec,
-		Metrics:   reg.Snapshot(),
-	}
+	mustRun(cl)
+	return rec, reg.Snapshot()
 }
 
 // OverlapClaims derives the asynchronous-progress verdicts from

@@ -85,12 +85,12 @@ func TestOverlapShardAndWorkerIdentity(t *testing.T) {
 }
 
 // TestObservedOverlapTelemetry checks the representative instrumented
-// rerun actually surfaces the progress-engine telemetry this PR adds:
+// rerun actually surfaces the progress-engine telemetry:
 // the duty-cycle counters in the metrics snapshot and the NBC schedule
 // events in the trace.
 func TestObservedOverlapTelemetry(t *testing.T) {
-	o := ObservedOverlap("two-threads", 4096, 3, 1, 0)
-	rendered := o.Metrics.Render()
+	rec, snap := observedOverlap("two-threads", 4096, 3, 1, 0)
+	rendered := snap.Render()
 	for _, metric := range []string{
 		"progress_polls", "progress_us", "idle_us", "tests",
 		"recvq_depth", "cq_depth", "host_busy_us",
@@ -100,7 +100,7 @@ func TestObservedOverlapTelemetry(t *testing.T) {
 		}
 	}
 	var posted, completed, duty int
-	for _, e := range o.Recorder.Events() {
+	for _, e := range rec.Events() {
 		switch e.Kind.String() {
 		case "nbc-posted":
 			posted++

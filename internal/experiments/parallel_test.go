@@ -74,14 +74,15 @@ func TestClaimsByteIdenticalAcrossWorkers(t *testing.T) {
 func TestConcurrentSimulationsShareNothing(t *testing.T) {
 	spec := elanSpec(ptlelan4.BestOptions(ptlelan4.RDMARead), false, pml.Polling)
 	tcpSpec := elanSpec(base(ptlelan4.RDMAWrite), true, pml.Polling)
-	wantA := OpenMPIPingPong(spec, 4096, 30)
-	wantB := OpenMPIPingPong(tcpSpec, 512, 30)
+	a := PingPong{Size: 4096, Iters: 30, Warmup: Warmup}
+	b := PingPong{Size: 512, Iters: 30, Warmup: Warmup}
+	wantA, wantB := a.OpenMPI(spec), b.OpenMPI(tcpSpec)
 	for round := 0; round < 3; round++ {
-		var gotA, gotB float64
+		var gotA, gotB PingPongResult
 		var wg sync.WaitGroup
 		wg.Add(2)
-		go func() { defer wg.Done(); gotA = OpenMPIPingPong(spec, 4096, 30) }()
-		go func() { defer wg.Done(); gotB = OpenMPIPingPong(tcpSpec, 512, 30) }()
+		go func() { defer wg.Done(); gotA = a.OpenMPI(spec) }()
+		go func() { defer wg.Done(); gotB = b.OpenMPI(tcpSpec) }()
 		wg.Wait()
 		if gotA != wantA || gotB != wantB {
 			t.Fatalf("concurrent round %d diverged: %v/%v, want %v/%v",

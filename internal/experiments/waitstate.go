@@ -10,8 +10,6 @@ import (
 	"qsmpi/internal/datatype"
 	"qsmpi/internal/mpi"
 	"qsmpi/internal/obs"
-	"qsmpi/internal/pml"
-	"qsmpi/internal/ptlelan4"
 	"qsmpi/internal/simtime"
 	"qsmpi/internal/trace"
 )
@@ -22,37 +20,35 @@ import (
 // late receiver (unexpected arrival), and staggered-compute barriers on
 // the host software tree vs. the NIC combine tree. Everything here is
 // deterministic at any shard count: the reports are byte-diffed across
-// -shards settings by the nightly smoke.
+// -shards settings by TestScenarioIdentity.
 
-// WaitScenario is one seeded run's name and recorded event stream.
-type WaitScenario struct {
-	Name   string
-	Events []trace.Event
+// waitRun is one seeded run: its recorded event stream and the kernel
+// event count it took.
+type waitRun struct {
+	events []trace.Event
+	steps  int64
 }
 
 // lateSenderSkew is how much compute the tardy side performs before
 // touching the network in the seeded point-to-point scenarios.
 const lateSenderSkew = 40 * simtime.Microsecond
 
-// waitSpec is the instrumented two-rank spec the point-to-point
-// scenarios share.
-func waitSpec(shards int, rec *trace.Recorder) cluster.Spec {
-	opts := ptlelan4.BestOptions(ptlelan4.RDMARead)
-	return cluster.Spec{
-		Elan:     &opts,
-		Progress: pml.Polling,
-		Shards:   shards,
-		Tracer:   rec,
-	}
+// tracedRun runs body on an n-rank cluster with a fresh unbounded
+// recorder attached as the spec's tracer.
+func tracedRun(spec cluster.Spec, n int, body func(p *cluster.Proc)) waitRun {
+	rec := trace.NewRecorder(0)
+	spec.Tracer = rec
+	c := cluster.New(spec, n)
+	c.Launch(body)
+	mustRun(c)
+	return waitRun{rec.Events(), c.K.Steps()}
 }
 
-// LateSenderEvents seeds the late-sender case: rank 1 posts its receive
+// lateSender seeds the late-sender case: rank 1 posts its receive
 // immediately, rank 0 computes for lateSenderSkew first. The analyzer
 // must charge rank 1 with a late-sender wait of at least the skew.
-func LateSenderEvents(shards int) []trace.Event {
-	rec := trace.NewRecorder(0)
-	c := cluster.New(waitSpec(shards, rec), 2)
-	c.Launch(func(p *cluster.Proc) {
+func lateSender(shards int) waitRun {
+	return tracedRun(bestRead(shards), 2, func(p *cluster.Proc) {
 		dt := datatype.Contiguous(256)
 		buf := make([]byte, 256)
 		if p.Rank == 0 {
@@ -62,23 +58,17 @@ func LateSenderEvents(shards int) []trace.Event {
 			p.Stack.Recv(p.Th, 0, 1, 0, buf, dt).Wait(p.Th)
 		}
 	})
-	if err := c.Run(); err != nil {
-		panic(fmt.Sprintf("experiments: %v", err))
-	}
-	return rec.Events()
 }
 
-// LateReceiverEvents seeds the late-receiver case: rank 0 sends an
-// eager tag-1 message immediately, but rank 1 is blocked in a receive
-// of a different message (tag 2, which rank 0 only sends after
+// lateReceiver seeds the late-receiver case: rank 0 sends an eager
+// tag-1 message immediately, but rank 1 is blocked in a receive of a
+// different message (tag 2, which rank 0 only sends after
 // lateSenderSkew of compute) — so its progress engine drains the tag-1
 // arrival into the unexpected queue, where it sits until the tag-1
 // receive is finally posted. The analyzer must charge rank 0 with a
 // late-receiver wait on the tag-1 message.
-func LateReceiverEvents(shards int) []trace.Event {
-	rec := trace.NewRecorder(0)
-	c := cluster.New(waitSpec(shards, rec), 2)
-	c.Launch(func(p *cluster.Proc) {
+func lateReceiver(shards int) waitRun {
+	return tracedRun(bestRead(shards), 2, func(p *cluster.Proc) {
 		dt := datatype.Contiguous(256)
 		buf := make([]byte, 256)
 		buf2 := make([]byte, 256)
@@ -91,30 +81,18 @@ func LateReceiverEvents(shards int) []trace.Event {
 			p.Stack.Recv(p.Th, 0, 1, 0, buf, dt).Wait(p.Th)
 		}
 	})
-	if err := c.Run(); err != nil {
-		panic(fmt.Sprintf("experiments: %v", err))
-	}
-	return rec.Events()
 }
 
-// BarrierSkewEvents seeds the wait-at-barrier case at n ranks: each
-// rank computes rank×10 µs before entering each of iters barriers, so
-// rank n−1 is always last in and every earlier rank's arrival skew is
-// known by construction. nic selects the NIC combine tree (full
-// connectivity, SetHWColl) against the host dissemination barrier.
-func BarrierSkewEvents(n, iters int, nic bool, shards int) []trace.Event {
-	rec := trace.NewRecorder(0)
-	opts := ptlelan4.BestOptions(ptlelan4.RDMARead)
-	spec := cluster.Spec{
-		Elan:     &opts,
-		Progress: pml.Polling,
-		Shards:   shards,
-		HWColl:   nic,
-		Tracer:   rec,
-	}
-	c := cluster.New(spec, n)
+// barrierSkew seeds the wait-at-barrier case at n ranks: each rank
+// computes rank×10 µs before entering each of iters barriers, so rank
+// n−1 is always last in and every earlier rank's arrival skew is known
+// by construction. nic selects the NIC combine tree (full connectivity,
+// SetHWColl) against the host dissemination barrier.
+func barrierSkew(n, iters int, nic bool, shards int) waitRun {
+	spec := bestRead(shards)
+	spec.HWColl = nic
 	uni := mpi.NewUniverse()
-	c.Launch(func(p *cluster.Proc) {
+	return tracedRun(spec, n, func(p *cluster.Proc) {
 		w := mpi.NewWorld(p.Th, p.Stack, uni, p.Rank, n)
 		if nic {
 			w.SetHWColl(p.Elan)
@@ -125,69 +103,50 @@ func BarrierSkewEvents(n, iters int, nic bool, shards int) []trace.Event {
 			comm.Barrier()
 		}
 	})
-	if err := c.Run(); err != nil {
-		panic(fmt.Sprintf("experiments: %v", err))
-	}
-	return rec.Events()
-}
-
-// WaitScenarios runs every seeded scenario at the given shard count.
-func WaitScenarios(shards int) []WaitScenario {
-	return []WaitScenario{
-		{"late-sender (rank 0 computes 40us before send)", LateSenderEvents(shards)},
-		{"late-receiver (rank 1 posts 40us after eager arrival)", LateReceiverEvents(shards)},
-		{"barrier skew, host tree (4 ranks, rank*10us stagger)", BarrierSkewEvents(4, 3, false, shards)},
-		{"barrier skew, NIC tree (4 ranks, rank*10us stagger)", BarrierSkewEvents(4, 3, true, shards)},
-	}
 }
 
 // WaitStateReport renders the full wait-state attribution report over
-// every seeded scenario: the taxonomy summary, per-rank and per-pair
-// aggregations, collective epochs and arrival-skew histograms per
-// scenario. Byte-identical at any shard count.
-func WaitStateReport(shards int) string {
-	var b strings.Builder
-	for i, sc := range WaitScenarios(shards) {
+// every seeded scenario (a late sender, a late receiver, and staggered
+// barriers on the host and NIC trees): the taxonomy summary, per-rank and
+// per-pair aggregations, collective epochs and arrival-skew histograms
+// per scenario. Byte-identical at any shard count.
+func WaitStateReport(shards int) Outcome {
+	var out Outcome
+	for i, sc := range []struct {
+		name string
+		run  waitRun
+	}{
+		{"late-sender (rank 0 computes 40us before send)", lateSender(shards)},
+		{"late-receiver (rank 1 posts 40us after eager arrival)", lateReceiver(shards)},
+		{"barrier skew, host tree (4 ranks, rank*10us stagger)", barrierSkew(4, 3, false, shards)},
+		{"barrier skew, NIC tree (4 ranks, rank*10us stagger)", barrierSkew(4, 3, true, shards)},
+	} {
 		if i > 0 {
-			b.WriteString("\n")
+			out.Text += "\n"
 		}
-		fmt.Fprintf(&b, "== %s ==\n", sc.Name)
-		b.WriteString(obs.AnalyzeWaits(sc.Events).Render())
+		out.Text += fmt.Sprintf("== %s ==\n%s", sc.name, obs.AnalyzeWaits(sc.run.events).Render())
+		out.Events += sc.run.steps
 	}
-	return b.String()
+	return out
 }
 
 // samplerPeriod keeps the seeded sampler runs dense enough for visible
 // heatmaps at small scale without swamping the recorder.
 const samplerPeriod = 5 * simtime.Microsecond
 
-// SampledRun runs an instrumented n-rank workload — a ping-pong chain
+// sampledRun runs an instrumented n-rank workload — a ping-pong chain
 // overlapped with allreduce epochs, enough traffic to move every gauge
-// — with the virtual-time sampler attached, and returns the sampler
-// and the recorded stream. limit bounds the ring (0 = unbounded).
-func SampledRun(n, iters, shards, limit int) (*obs.Sampler, *trace.Recorder) {
-	return sampledRun(n, iters, shards, limit, true)
-}
-
-// UnsampledRun is the identical workload with no sampler attached —
-// the baseline for perturbation checks and overhead benchmarks.
-func UnsampledRun(n, iters, shards int) *trace.Recorder {
-	_, rec := sampledRun(n, iters, shards, 0, false)
-	return rec
-}
-
-func sampledRun(n, iters, shards, limit int, sample bool) (*obs.Sampler, *trace.Recorder) {
+// — and returns the recorded stream and the finished cluster. With
+// sample set, the virtual-time sampler is attached and returned too;
+// without it the run is the baseline for perturbation checks and
+// overhead benchmarks.
+func sampledRun(n, iters, shards int, sample bool) (*obs.Sampler, *trace.Recorder, *cluster.Cluster) {
 	rec := trace.NewRecorder(0)
 	var smp *obs.Sampler
-	opts := ptlelan4.BestOptions(ptlelan4.RDMARead)
-	spec := cluster.Spec{
-		Elan:     &opts,
-		Progress: pml.Polling,
-		Shards:   shards,
-		Tracer:   rec,
-	}
+	spec := bestRead(shards)
+	spec.Tracer = rec
 	if sample {
-		smp = obs.NewSampler(samplerPeriod, limit)
+		smp = obs.NewSampler(samplerPeriod, 0)
 		spec.Sampler = smp
 	}
 	c := cluster.New(spec, n)
@@ -214,23 +173,21 @@ func sampledRun(n, iters, shards, limit int, sample bool) (*obs.Sampler, *trace.
 			comm.Allreduce(acc, out, mpi.OpSumF64)
 		}
 	})
-	if err := c.Run(); err != nil {
-		panic(fmt.Sprintf("experiments: %v", err))
-	}
-	return smp, rec
+	mustRun(c)
+	return smp, rec, c
 }
 
 // HeatmapReport renders the rank×time and link×time heatmaps of one
 // seeded sampled run: progress duty, receive-queue depth and pending
 // sends per rank, and per-interval uplink bytes per link. Deterministic
 // and byte-identical at any shard count.
-func HeatmapReport(n, iters, shards, maxCols int) string {
-	smp, _ := SampledRun(n, iters, shards, 0)
+func HeatmapReport(n, iters, shards, maxCols int) Outcome {
+	smp, _, c := sampledRun(n, iters, shards, true)
 	var b strings.Builder
 	fmt.Fprintf(&b, "sampler: period %s, %d ticks\n", smp.Period(), smp.Ticks())
 	b.WriteString(smp.RankMatrix(obs.GaugeDuty).Heatmap(maxCols))
 	b.WriteString(smp.RankMatrix(obs.GaugeRecvQDepth).Heatmap(maxCols))
 	b.WriteString(smp.RankMatrix(obs.GaugePendingSends).Heatmap(maxCols))
 	b.WriteString(smp.LinkMatrix(obs.LinkGaugeBytes).Deltas().Heatmap(maxCols))
-	return b.String()
+	return Outcome{SimUS: c.Now().Micros(), Events: c.K.Steps(), Text: b.String()}
 }

@@ -12,7 +12,7 @@ import (
 // The seeded late-sender scenario must charge the receiver (rank 1)
 // with a late-sender wait on rank 0 of at least the injected skew.
 func TestLateSenderClassified(t *testing.T) {
-	p := obs.AnalyzeWaits(LateSenderEvents(1))
+	p := obs.AnalyzeWaits(lateSender(1).events)
 	var found bool
 	for _, w := range p.Waits {
 		if w.Kind == obs.WaitLateSender && w.Rank == 1 && w.Peer == 0 {
@@ -35,7 +35,7 @@ func TestLateSenderClassified(t *testing.T) {
 // message's "match" phase from the critical-path profiler exactly —
 // the reconciliation contract between the two analyzers.
 func TestLateReceiverClassifiedAndReconciles(t *testing.T) {
-	events := LateReceiverEvents(1)
+	events := lateReceiver(1).events
 	p := obs.AnalyzeWaits(events)
 	var lateRecv *obs.Wait
 	for i, w := range p.Waits {
@@ -81,7 +81,7 @@ func TestLateReceiverClassifiedAndReconciles(t *testing.T) {
 // 0 (earliest) always is.
 func TestBarrierSkewClassified(t *testing.T) {
 	for _, nic := range []bool{false, true} {
-		p := obs.AnalyzeWaits(BarrierSkewEvents(4, 3, nic, 1))
+		p := obs.AnalyzeWaits(barrierSkew(4, 3, nic, 1).events)
 		if len(p.Epochs) < 3 {
 			t.Fatalf("nic=%v: %d epochs, want >= 3", nic, len(p.Epochs))
 		}
@@ -122,7 +122,7 @@ func TestBarrierSkewClassified(t *testing.T) {
 // windows inside the message lifetime) must sum to no more than its
 // end-to-end latency.
 func TestWaitsReconcileWithLatency(t *testing.T) {
-	_, rec := SampledRun(4, 4, 1, 0)
+	_, rec, _ := sampledRun(4, 4, 1, true)
 	events := rec.Events()
 	p := obs.AnalyzeWaits(events)
 	prof := obs.Analyze(events)
@@ -161,12 +161,12 @@ func TestWaitStateShardIdentity(t *testing.T) {
 			t.Errorf("WaitStateReport differs at -shards %d", sh)
 		}
 	}
-	heat := HeatmapReport(8, 4, 1, 64)
+	heat := HeatmapReport(8, 4, 1, 64).Text
 	if !strings.Contains(heat, "duty-permille") || !strings.Contains(heat, "uplink-bytes") {
 		t.Fatalf("heatmap report missing expected gauges:\n%s", heat)
 	}
 	for _, sh := range []int{2, 4} {
-		if got := HeatmapReport(8, 4, sh, 64); got != heat {
+		if got := HeatmapReport(8, 4, sh, 64).Text; got != heat {
 			t.Errorf("HeatmapReport differs at -shards %d", sh)
 		}
 	}
@@ -177,11 +177,11 @@ func TestWaitStateShardIdentity(t *testing.T) {
 // snapshots) is byte-identical with and without it — the sampler only
 // reads state, so its tick events interleave without side effects.
 func TestSamplerZeroPerturbation(t *testing.T) {
-	smpOn, recOn := SampledRun(4, 4, 1, 0)
+	smpOn, recOn, _ := sampledRun(4, 4, 1, true)
 	if smpOn.Ticks() == 0 {
 		t.Fatal("sampler never ticked")
 	}
-	recOff := UnsampledRun(4, 4, 1)
+	_, recOff, _ := sampledRun(4, 4, 1, false)
 	var on []trace.Event
 	for _, e := range recOn.Events() {
 		if e.Kind != trace.GaugeSample {

@@ -201,9 +201,6 @@ func (c *Comm) Rank() int { return c.myIdx }
 // Size returns the communicator size.
 func (c *Comm) Size() int { return len(c.ranks) }
 
-// WorldRank translates a comm rank to a world rank.
-func (c *Comm) WorldRank(r int) int { return c.ranks[r] }
-
 func (c *Comm) worldOf(r int) int {
 	if r == AnySource {
 		return AnySource

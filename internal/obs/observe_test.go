@@ -244,16 +244,19 @@ func TestObservabilityDoesNotPerturbVirtualTime(t *testing.T) {
 		for _, size := range []int{4, 512, 4096, 65536} {
 			o := ptlelan4.BestOptions(scheme)
 			spec := cluster.Spec{Elan: &o, Progress: pml.Polling}
-			plain := experiments.OpenMPIPingPong(spec, size, 5)
-			observed := experiments.ObservedPingPong(spec, size, 5, experiments.Warmup, 0)
-			if observed.LatencyUS != plain {
+			pp := experiments.PingPong{Size: size, Iters: 5, Warmup: experiments.Warmup}
+			plain := pp.OpenMPI(spec)
+			rec, reg := trace.NewRecorder(0), obs.New()
+			pp.Tracer, pp.Metrics = rec, reg
+			observed := pp.OpenMPI(spec)
+			if observed.LatencyUS != plain.LatencyUS {
 				t.Errorf("scheme %v size %d: latency %v with instrumentation, %v without",
-					scheme, size, observed.LatencyUS, plain)
+					scheme, size, observed.LatencyUS, plain.LatencyUS)
 			}
-			if observed.Recorder.Len() == 0 {
+			if rec.Len() == 0 {
 				t.Errorf("scheme %v size %d: instrumented run recorded nothing", scheme, size)
 			}
-			if observed.Metrics.Total("pml", "sends") == 0 {
+			if reg.Snapshot().Total("pml", "sends") == 0 {
 				t.Errorf("scheme %v size %d: metrics empty", scheme, size)
 			}
 		}

@@ -159,8 +159,9 @@ func TestTportPathDecomposition(t *testing.T) {
 // latest-ending message.
 func TestCriticalPathIsChronologicalDependencyChain(t *testing.T) {
 	o := ptlelan4.BestOptions(ptlelan4.RDMARead)
-	ob := experiments.ObservedPingPong(clusterSpec(o), 4096, 4, 0, 0)
-	p := obs.Analyze(ob.Recorder.Events())
+	rec := trace.NewRecorder(0)
+	experiments.PingPong{Size: 4096, Iters: 4, Tracer: rec}.OpenMPI(clusterSpec(o))
+	p := obs.Analyze(rec.Events())
 	checkTelescope(t, p)
 	if len(p.Critical) < 2 {
 		t.Fatalf("critical path has %d hops, want a chain", len(p.Critical))
